@@ -226,10 +226,7 @@ void gemm_tier_table(bench::JsonWriter* json) {
   double band1 = 0.0;
   for (int threads : {1, 2, 4}) {
     runtime::ThreadPool band_pool(threads);
-    nn::gemm::GemmOptions o;
-    o.threads = threads;
-    o.pool = &band_pool;
-    const double g = gflops(512, o);
+    const double g = gflops(512, {&band_pool});
     if (threads == 1) band1 = g;
     std::printf("  %-12s %12.2f %9.2fx\n", ("t=" + std::to_string(threads)).c_str(), g,
                 band1 > 0 ? g / band1 : 0.0);

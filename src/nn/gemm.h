@@ -63,14 +63,12 @@ void set_kernel(Kernel k);
 /// metadata — kAuto reports the tier it resolved to.
 const char* kernel_name();
 
-/// Row-band parallelism knobs for one GEMM call. Default is serial. When
-/// `pool` is set, row bands run on it via ThreadPool::parallel_for (do not
-/// call from inside a task of the same pool — caller-waits would deadlock).
-/// Otherwise `threads > 1` uses OpenMP bands when the build has OpenMP and
-/// falls back to serial when it does not. Either way the row partitioning is
-/// numerically invisible (see determinism note above).
+/// Row-band parallelism for one GEMM call. Default is serial on the calling
+/// thread. When `pool` is set, row bands run on it via
+/// ThreadPool::parallel_for (do not call from inside a task of the same pool —
+/// caller-waits would deadlock). The row partitioning is numerically invisible
+/// (see determinism note above).
 struct GemmOptions {
-  int threads = 1;
   runtime::ThreadPool* pool = nullptr;
 };
 
@@ -88,11 +86,6 @@ void gemm_tn(int m, int n, int k, const float* a, int lda, const float* b, int l
 /// C[m,n] += A * B^T with B stored [n,k].
 void gemm_nt(int m, int n, int k, const float* a, int lda, const float* b, int ldb, float* c,
              int ldc, const GemmOptions& opts = {});
-
-/// Thread count the ops.h wrappers pass for an m*n*k-flop product: matches
-/// the seed's OpenMP heuristic (parallel above 16384 multiply-adds, serial
-/// below; always 1 without OpenMP).
-int recommended_threads(long long m, long long n, long long k);
 
 /// Multiply-free packed-ternary matmul:
 ///   y[r, j] += step * (sum_{i in P_j} x[r, i] - sum_{i in N_j} x[r, i])

@@ -17,12 +17,6 @@ constexpr float kInvSqrt2Pi = 0.3989422804014327f;
 
 bool use_reference_gemm() { return gemm::backend() == gemm::Backend::kReference; }
 
-gemm::GemmOptions default_gemm_options(int m, int n, int k) {
-  gemm::GemmOptions opts;
-  opts.threads = gemm::recommended_threads(m, n, k);
-  return opts;
-}
-
 }  // namespace
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
@@ -35,11 +29,10 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   const float* pb = b.data();
   float* pc = c.data();
   if (!use_reference_gemm()) {
-    gemm::gemm_nn(m, n, k, pa, k, pb, n, pc, n, default_gemm_options(m, n, k));
+    gemm::gemm_nn(m, n, k, pa, k, pb, n, pc, n);
     return c;
   }
   // ASCEND_GEMM=reference: the seed's naive loops, verbatim.
-#pragma omp parallel for schedule(static) if (static_cast<long long>(m) * n * k > 16384)
   for (int i = 0; i < m; ++i) {
     float* crow = pc + static_cast<std::size_t>(i) * n;
     for (int kk = 0; kk < k; ++kk) {
@@ -62,10 +55,9 @@ Tensor matmul_tn(const Tensor& a_kxm, const Tensor& b_kxn) {
   const float* pb = b_kxn.data();
   float* pc = c.data();
   if (!use_reference_gemm()) {
-    gemm::gemm_tn(m, n, k, pa, m, pb, n, pc, n, default_gemm_options(m, n, k));
+    gemm::gemm_tn(m, n, k, pa, m, pb, n, pc, n);
     return c;
   }
-#pragma omp parallel for schedule(static) if (static_cast<long long>(m) * n * k > 16384)
   for (int i = 0; i < m; ++i) {
     float* crow = pc + static_cast<std::size_t>(i) * n;
     for (int kk = 0; kk < k; ++kk) {
@@ -89,10 +81,9 @@ Tensor matmul_nt(const Tensor& a_mxn, const Tensor& b_kxn) {
   float* pc = c.data();
   if (!use_reference_gemm()) {
     // C[m, k] = A[m, n] * B[k, n]^T: contraction over n.
-    gemm::gemm_nt(m, k, n, pa, n, pb, n, pc, k, default_gemm_options(m, k, n));
+    gemm::gemm_nt(m, k, n, pa, n, pb, n, pc, k);
     return c;
   }
-#pragma omp parallel for schedule(static) if (static_cast<long long>(m) * n * k > 16384)
   for (int i = 0; i < m; ++i) {
     const float* arow = pa + static_cast<std::size_t>(i) * n;
     float* crow = pc + static_cast<std::size_t>(i) * k;
@@ -163,7 +154,6 @@ Tensor softmax_rows(const Tensor& x) {
   check_rank2(x, "softmax_rows");
   const int rows = x.dim(0), cols = x.dim(1);
   Tensor y = Tensor::uninitialized(x.shape());
-#pragma omp parallel for schedule(static) if (rows > 16)
   for (int r = 0; r < rows; ++r) {
     const float* xrow = x.data() + static_cast<std::size_t>(r) * cols;
     float* row = y.data() + static_cast<std::size_t>(r) * cols;
@@ -183,7 +173,6 @@ Tensor softmax_rows_backward(const Tensor& y, const Tensor& grad_y) {
   check_same_shape(y, grad_y, "softmax_rows_backward");
   const int rows = y.dim(0), cols = y.dim(1);
   Tensor gx = Tensor::uninitialized(y.shape());
-#pragma omp parallel for schedule(static) if (rows > 16)
   for (int r = 0; r < rows; ++r) {
     const float* yr = y.data() + static_cast<std::size_t>(r) * cols;
     const float* gr = grad_y.data() + static_cast<std::size_t>(r) * cols;

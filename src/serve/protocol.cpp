@@ -1,5 +1,6 @@
 #include "serve/protocol.h"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -7,14 +8,17 @@ namespace ascend::serve {
 
 namespace {
 
-// Little-endian field writers/readers. The wire format is explicitly LE;
-// memcpy through fixed-width integers keeps this free of aliasing UB and
-// compiles to plain loads/stores on the x86 hosts this serves on.
+// Little-endian field writers/readers. The wire format is explicitly LE; the
+// shifts fix the byte order independently of the host's, and floats travel as
+// their IEEE-754 bit pattern (memcpy to a fixed-width integer, no aliasing
+// UB). Writers store through a cursor into a buffer already grown to the
+// frame's wire size, so a frame costs one resize, not a push_back per byte.
 template <typename T>
-void put(std::vector<std::uint8_t>& out, T v) {
+std::uint8_t* put(std::uint8_t* p, T v) {
   static_assert(std::is_integral_v<T>);
   for (std::size_t i = 0; i < sizeof(T); ++i)
-    out.push_back(static_cast<std::uint8_t>((static_cast<std::uint64_t>(v) >> (8 * i)) & 0xFF));
+    p[i] = static_cast<std::uint8_t>((static_cast<std::uint64_t>(v) >> (8 * i)) & 0xFF);
+  return p + sizeof(T);
 }
 
 template <typename T>
@@ -26,10 +30,19 @@ T get(const std::uint8_t* p) {
   return static_cast<T>(v);
 }
 
-void put_f32(std::vector<std::uint8_t>& out, float f) {
-  std::uint32_t bits;
-  std::memcpy(&bits, &f, sizeof(bits));
-  put(out, bits);
+void put_f32s(std::uint8_t* p, const std::vector<float>& v) {
+  for (float f : v) {
+    std::uint32_t bits;
+    std::memcpy(&bits, &f, sizeof(bits));
+    p = put(p, bits);
+  }
+}
+
+/// Grows `out` by `n` bytes and returns the first new byte.
+std::uint8_t* grow(std::vector<std::uint8_t>& out, std::size_t n) {
+  const std::size_t at = out.size();
+  out.resize(at + n);
+  return out.data() + at;
 }
 
 float get_f32(const std::uint8_t* p) {
@@ -79,37 +92,37 @@ void append_request(std::vector<std::uint8_t>& out, const RequestFrame& frame) {
   const auto deadline_us = o.deadline.count();
   if (deadline_us < 0 || deadline_us > 0xFFFFFFFFll)
     throw std::invalid_argument("append_request: deadline out of u32 microseconds");
-  out.reserve(out.size() + request_wire_size(frame));
-  put(out, kMagic);
-  put(out, kVersion);
-  put(out, frame.flags);
-  put(out, frame.request_id);
-  put(out, static_cast<std::uint8_t>(o.priority));
-  put(out, static_cast<std::uint8_t>(o.variant.size()));
-  put(out, static_cast<std::uint8_t>(o.retry.fallback_variant.size()));
-  put(out, static_cast<std::uint8_t>(o.retry.max_attempts));
-  put(out, static_cast<std::uint32_t>(deadline_us));
-  put(out, static_cast<std::uint32_t>(frame.payload.size()));
-  out.insert(out.end(), o.variant.begin(), o.variant.end());
-  out.insert(out.end(), o.retry.fallback_variant.begin(), o.retry.fallback_variant.end());
-  for (float f : frame.payload) put_f32(out, f);
+  std::uint8_t* p = grow(out, request_wire_size(frame));
+  p = put(p, kMagic);
+  p = put(p, kVersion);
+  p = put(p, frame.flags);
+  p = put(p, frame.request_id);
+  p = put(p, static_cast<std::uint8_t>(o.priority));
+  p = put(p, static_cast<std::uint8_t>(o.variant.size()));
+  p = put(p, static_cast<std::uint8_t>(o.retry.fallback_variant.size()));
+  p = put(p, static_cast<std::uint8_t>(o.retry.max_attempts));
+  p = put(p, static_cast<std::uint32_t>(deadline_us));
+  p = put(p, static_cast<std::uint32_t>(frame.payload.size()));
+  p = std::copy(o.variant.begin(), o.variant.end(), p);
+  p = std::copy(o.retry.fallback_variant.begin(), o.retry.fallback_variant.end(), p);
+  put_f32s(p, frame.payload);
 }
 
 void append_response(std::vector<std::uint8_t>& out, const ResponseFrame& frame) {
   if (frame.logits.size() > kMaxPayloadFloats)
     throw std::invalid_argument("append_response: logits over kMaxPayloadFloats");
-  out.reserve(out.size() + response_wire_size(frame));
-  put(out, kMagic);
-  put(out, kVersion);
-  put(out, static_cast<std::uint16_t>(frame.status));
-  put(out, frame.request_id);
-  put(out, static_cast<std::uint32_t>(frame.label));
-  put(out, frame.retry_after_ms);
-  put(out, frame.attempts);
-  put(out, static_cast<std::uint8_t>(frame.degraded ? 1 : 0));
-  put(out, frame.shard);
-  put(out, static_cast<std::uint32_t>(frame.logits.size()));
-  for (float f : frame.logits) put_f32(out, f);
+  std::uint8_t* p = grow(out, response_wire_size(frame));
+  p = put(p, kMagic);
+  p = put(p, kVersion);
+  p = put(p, static_cast<std::uint16_t>(frame.status));
+  p = put(p, frame.request_id);
+  p = put(p, static_cast<std::uint32_t>(frame.label));
+  p = put(p, frame.retry_after_ms);
+  p = put(p, frame.attempts);
+  p = put(p, static_cast<std::uint8_t>(frame.degraded ? 1 : 0));
+  p = put(p, frame.shard);
+  p = put(p, static_cast<std::uint32_t>(frame.logits.size()));
+  put_f32s(p, frame.logits);
 }
 
 DecodeResult decode_request(const std::uint8_t* data, std::size_t size, std::size_t& consumed,

@@ -391,17 +391,8 @@ bool Server::drain_rbuf(const std::shared_ptr<Connection>& conn) {
 }
 
 void Server::handle_frame(const std::shared_ptr<Connection>& conn, RequestFrame&& frame) {
-  if (frame.drain()) {
-    // Graceful-drain control frame: acknowledge, then stop accepting. Work
-    // already accepted keeps resolving; wait_drained() unblocks when the
-    // last owed response has flushed.
-    ResponseFrame resp;
-    resp.status = Status::kOk;
-    resp.request_id = frame.request_id;
-    send_response(conn, resp, false);
-    drain();
-    return;
-  }
+  // Every frame is owed a response, the drain ack included, so
+  // wait_drained() cannot return before that response is counted.
   {
     std::lock_guard<std::mutex> lock(drain_mu_);
     ++open_requests_;
@@ -410,9 +401,14 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn, RequestFrame&
     std::lock_guard<std::mutex> lock(conn->mu);
     ++conn->in_flight;
   }
+  // Graceful-drain control frame: stop accepting, then acknowledge, so a
+  // client that reads the ack finds the server draining. Work already
+  // accepted keeps resolving; wait_drained() unblocks when the last owed
+  // response has flushed.
+  if (frame.drain()) drain();
   if (draining_.load()) {
     ResponseFrame resp;
-    resp.status = Status::kShuttingDown;
+    resp.status = frame.drain() ? Status::kOk : Status::kShuttingDown;
     resp.request_id = frame.request_id;
     send_response(conn, resp, true);
     return;

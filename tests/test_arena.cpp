@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <barrier>
 #include <cstdint>
 #include <numeric>
 #include <string_view>
@@ -152,14 +154,16 @@ vit::ScInferenceConfig tiny_sc_config() {
 /// One calibrated W2A2 model and the four fidelity servables over it, plus a
 /// deterministic image batch — the shared fixture of the equivalence tests.
 struct VariantRig {
-  vit::VitConfig top = tiny_topology();
+  vit::VitConfig top;
   vit::Dataset data;
   nn::Tensor images;
   vit::VisionTransformer model;
   std::vector<std::pair<const char*, std::shared_ptr<Servable>>> variants;
 
-  explicit VariantRig(int samples = 6, std::uint64_t seed = 91)
-      : data(vit::make_synthetic_vision(samples, top.classes, 81, top.image_size)),
+  explicit VariantRig(int samples = 6, std::uint64_t seed = 91,
+                      const vit::VitConfig& topology = tiny_topology())
+      : top(topology),
+        data(vit::make_synthetic_vision(samples, top.classes, 81, top.image_size)),
         images(nn::Tensor({samples, top.channels * top.image_size * top.image_size})),
         model(top, seed) {
     std::vector<int> idx(static_cast<std::size_t>(data.size()));
@@ -280,22 +284,23 @@ TEST(ArenaInference, ConcurrentForwardsUseIsolatedArenas) {
 
 namespace {
 
+/// `n` forwards, each carved from `arena` and followed by its reset.
+void arena_forwards(const Servable& servable, const nn::Tensor& images, Arena& arena, int n) {
+  for (int i = 0; i < n; ++i) {
+    ArenaScope scope(arena);
+    (void)servable.infer(images);
+    arena.reset();
+  }
+}
+
 /// Allocations per forward at steady state: warm up inside the arena (sizing
 /// pass + grow-only thread-local scratch), then measure the counter across
 /// `iters` forwards.
 std::uint64_t steady_state_allocs(const Servable& servable, const nn::Tensor& images,
                                   Arena& arena, int iters = 5) {
-  for (int i = 0; i < 3; ++i) {
-    ArenaScope scope(arena);
-    (void)servable.infer(images);
-    arena.reset();
-  }
+  arena_forwards(servable, images, arena, 3);
   const std::uint64_t before = alloc_count();
-  for (int i = 0; i < iters; ++i) {
-    ArenaScope scope(arena);
-    (void)servable.infer(images);
-    arena.reset();
-  }
+  arena_forwards(servable, images, arena, iters);
   return alloc_count() - before;
 }
 
@@ -311,6 +316,43 @@ TEST(AllocFree, SteadyStateZeroAllocsPerForwardOnServingVariants) {
       continue;  // emulated SC allocates inside softmax_iterative_sc by design
     EXPECT_EQ(steady_state_allocs(*servable, rig.images, arena), 0u)
         << name << ": steady-state forwards must not touch the heap";
+  }
+}
+
+TEST(AllocFree, ConcurrentCallersAtHardwareConcurrency) {
+  // One caller per hardware thread, each with its own arena, all forwarding
+  // at once. A forward runs every kernel on its calling thread, so no helper
+  // thread without an installed arena (or with cold pack scratch of its own)
+  // may touch the heap. The counter is process-wide: barriers bracket the
+  // measured window so it sees only the callers' steady-state forwards.
+  ASSERT_TRUE(alloc_counting_active());
+  // Bench topology at 16 images: 256-row GEMMs span several row blocks and
+  // the 16-token attention products take the packed kernel path, so every
+  // pack buffer a forward touches is exercised.
+  VariantRig rig(/*samples=*/16, /*seed=*/91, vit::VitConfig::bench_topology(4));
+  const int callers = static_cast<int>(std::max(2u, std::thread::hardware_concurrency()));
+  constexpr int kIters = 5;
+  for (const auto& [name, servable] : rig.variants) {
+    if (std::string_view(name) == "sc-emu" || std::string_view(name) == "fp32") continue;
+    std::barrier sync(callers + 1);  // + the measuring thread
+    std::vector<std::thread> threads;
+    for (int t = 0; t < callers; ++t)
+      threads.emplace_back([&, servable = servable] {
+        Arena arena;
+        arena_forwards(*servable, rig.images, arena, 3);  // sizing + grow-only scratch
+        sync.arrive_and_wait();                           // all warm
+        sync.arrive_and_wait();                           // counter read
+        arena_forwards(*servable, rig.images, arena, kIters);
+        sync.arrive_and_wait();  // all done
+      });
+    sync.arrive_and_wait();
+    const std::uint64_t before = alloc_count();
+    sync.arrive_and_wait();
+    sync.arrive_and_wait();
+    const std::uint64_t allocs = alloc_count() - before;
+    for (auto& t : threads) t.join();
+    EXPECT_EQ(allocs, 0u) << name << ": " << callers << " concurrent callers x " << kIters
+                          << " forwards must not touch the heap";
   }
 }
 

@@ -578,6 +578,21 @@ TEST_F(FrontdoorTest, DrainControlFrameStopsNewWorkAndWaitDrainedFlushesEverythi
   EXPECT_EQ(stats.protocol_errors, 0u);
 }
 
+TEST_F(FrontdoorTest, WaitDrainedWokenByDrainFrameSeesTheAckCounted) {
+  // A thread blocked in wait_drained() when a client's drain frame arrives
+  // must find every decoded frame answered, the ack included.
+  for (int round = 0; round < 30; ++round) {
+    ShardSet shards(bootstrap_ab, quick_shard_opts());
+    Server server(shards);
+    ServerStats stats;
+    std::thread waiter([&] { server.wait_drained(); stats = server.stats(); });
+    EXPECT_EQ(Client("127.0.0.1", server.port()).drain_server(7).status, Status::kOk);
+    waiter.join();
+    EXPECT_EQ(stats.frames_in, 1u) << "round " << round;
+    EXPECT_EQ(stats.responses_out, 1u) << "round " << round;
+  }
+}
+
 TEST_F(FrontdoorTest, MixedTrafficWithMidStreamRollingPublishLosesNoRequest) {
   // The acceptance invariant: across C connections of mixed-priority traffic
   // with a rolling canary-validated publish racing mid-stream,
