@@ -2,15 +2,10 @@
 
 #include <algorithm>
 #include <map>
-#include <numeric>
-#include <optional>
 #include <stdexcept>
 
 #include "runtime/alloc_count.h"
 #include "runtime/failpoint.h"
-
-#include "vit/model.h"
-#include "vit/servable.h"
 
 namespace ascend::runtime {
 
@@ -19,12 +14,6 @@ using nn::Tensor;
 namespace {
 
 failpoint::Site fp_infer{"engine.infer"};
-
-int resolve_threads(int requested) {
-  if (requested > 0) return requested;
-  const unsigned hc = std::thread::hardware_concurrency();
-  return hc > 0 ? static_cast<int>(hc) : 1;
-}
 
 int argmax_row(const Tensor& logits, int r) {
   int best = 0;
@@ -67,28 +56,6 @@ InferenceEngine::InferenceEngine(std::shared_ptr<ModelRegistry> registry, Engine
       throw UnknownVariantError(opts_.default_variant);
     default_variant_ = opts_.default_variant;
   }
-  start();
-}
-
-InferenceEngine::InferenceEngine(vit::VisionTransformer& model, const vit::ScInferenceConfig& cfg,
-                                 EngineOptions opts)
-    : opts_(opts),
-      batcher_(opts.max_batch, opts.max_delay, opts.max_pending, opts.overflow),
-      tracer_(opts.trace) {
-  // The pre-registry engine, reproduced: one SC servable driving the
-  // caller's model in place (hooks installed here, restored on destruction),
-  // the engine's worker pool running the per-activation SC work.
-  pool_ = std::make_unique<ThreadPool>(resolve_threads(opts_.threads));
-  vit::ScServableOptions sopts;
-  sopts.use_tf_cache = opts_.use_tf_cache;
-  sopts.pool = pool_.get();
-  registry_ = std::make_shared<ModelRegistry>();
-  registry_->publish(vit::make_sc_servable_in_place(model, cfg, sopts, "sc"));
-  default_variant_ = "sc";
-  start();
-}
-
-void InferenceEngine::start() {
   if (opts_.concurrent_forwards < 1) opts_.concurrent_forwards = 1;
   metrics_ = opts_.metrics ? opts_.metrics : std::make_shared<metrics::MetricsRegistry>();
   register_metric_series();
@@ -222,8 +189,6 @@ InferenceEngine::~InferenceEngine() {
   // A shared metrics registry outlives the engine: drop the callback series
   // that capture `this` before the members they read are destroyed.
   for (const metrics::CallbackId id : metric_callbacks_) metrics_->remove_callback(id);
-  // registry_ (and with it any in-place SC servable, which restores the
-  // model's hooks) is released by member destruction, before pool_.
 }
 
 void InferenceEngine::count_drop(Priority p) {
@@ -412,8 +377,7 @@ void InferenceEngine::process_batch(BatchJob& job) {
   // intermediate in the infer chain, and the logits all bump-allocate from
   // one slab (retry/fallback rebuilds bump further into the same slab). The
   // lease outlives the last logits read — its destructor resets the arena.
-  std::optional<ArenaLease> lease;
-  if (opts_.use_arena) lease.emplace(arena_pool_);
+  ArenaLease lease(arena_pool_);
 
   const int pixels = servable->input_dim();
   std::vector<int> rows;  // rows admitted to the forward phase
@@ -680,8 +644,7 @@ std::vector<int> InferenceEngine::predict_batch(const Tensor& images, const std:
   const std::shared_ptr<const Servable> servable = registry_->get(resolve_variant(variant));
   std::vector<int> labels;
   {
-    std::optional<ArenaLease> lease;
-    if (opts_.use_arena) lease.emplace(arena_pool_);
+    ArenaLease lease(arena_pool_);
     ASCEND_FAILPOINT(fp_infer);
     const Tensor logits = servable->infer(images);
     labels.resize(static_cast<std::size_t>(logits.dim(0)));
@@ -689,22 +652,6 @@ std::vector<int> InferenceEngine::predict_batch(const Tensor& images, const std:
       labels[static_cast<std::size_t>(r)] = argmax_row(logits, r);
   }
   return labels;
-}
-
-double InferenceEngine::evaluate(const vit::Dataset& data, int batch_size,
-                                 const std::string& variant) {
-  const int n = data.size();
-  int correct = 0;
-  for (int start = 0; start < n; start += batch_size) {
-    const int end = std::min(n, start + batch_size);
-    std::vector<int> idx(static_cast<std::size_t>(end - start));
-    std::iota(idx.begin(), idx.end(), start);
-    const vit::Batch batch = vit::take_batch(data, idx);
-    const std::vector<int> labels = predict_batch(batch.images, variant);
-    for (std::size_t r = 0; r < labels.size(); ++r)
-      if (labels[r] == batch.labels[r]) ++correct;
-  }
-  return 100.0 * correct / std::max(n, 1);
 }
 
 EngineStats InferenceEngine::stats() const {

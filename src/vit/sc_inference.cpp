@@ -1,18 +1,20 @@
 #include "vit/sc_inference.h"
 
+#include <memory>
+
 #include "runtime/engine.h"
+#include "runtime/registry.h"
+#include "vit/servable.h"
+#include "vit/train.h"
 
 namespace ascend::vit {
 
 double evaluate_sc(VisionTransformer& model, const Dataset& data, const ScInferenceConfig& cfg,
                    int batch_size) {
-  // The engine's back-compat SC constructor serves `model` in place as a
-  // single registered variant: SC hooks installed on it (LUT-cached,
-  // validated bit-exact against the circuit emulators), per-activation
-  // emulation parallelised across the worker pool, hooks restored when the
-  // engine goes out of scope. Identical numerics to the pre-registry engine.
-  runtime::InferenceEngine engine(model, cfg);
-  return engine.evaluate(data, batch_size);
+  auto registry = std::make_shared<runtime::ModelRegistry>();
+  registry->publish(make_sc_servable(model, cfg));
+  runtime::InferenceEngine engine(registry);
+  return evaluate(engine, data, batch_size);
 }
 
 }  // namespace ascend::vit

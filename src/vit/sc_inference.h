@@ -24,10 +24,10 @@ struct ScInferenceConfig {
   double gelu_range = 6.0;        ///< +- input range covered by the GELU block
 };
 
-/// Top-1 accuracy with the SC nonlinear blocks swapped in. The model's hooks
-/// are restored on exit. Thin wrapper over runtime::InferenceEngine (see
-/// runtime/engine.h), which serves the nonlinear blocks from the tf_cache
-/// LUTs and spreads the per-activation SC emulation across a worker pool.
+/// Top-1 accuracy with the SC nonlinear blocks swapped in. Serves a
+/// make_sc_servable clone (vit/servable.h) through a runtime::InferenceEngine:
+/// the nonlinear blocks come from the tf_cache LUTs, spread across the
+/// servable's worker pool. The caller's model is never hooked.
 double evaluate_sc(VisionTransformer& model, const Dataset& data, const ScInferenceConfig& cfg,
                    int batch_size = 128);
 

@@ -17,9 +17,9 @@
 // precision tiers) and variants hot-swap via ModelRegistry::publish.
 //
 // make_sc_servable_in_place drives the *caller's* model instead of a clone
-// (hooks installed at construction, restored on destruction) — the engine's
-// back-compat (model, ScInferenceConfig) constructor uses it to reproduce
-// the pre-registry behaviour bit-exactly.
+// (hooks installed at construction, restored on destruction): while it is
+// alive, model.forward / model.infer run the SC blocks too — e.g. to latch
+// LSQ steps under the SC activations the model will be served with.
 
 #include <memory>
 #include <string>

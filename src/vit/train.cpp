@@ -7,6 +7,7 @@
 
 #include "nn/loss.h"
 #include "nn/optim.h"
+#include "runtime/engine.h"
 
 namespace ascend::vit {
 
@@ -27,6 +28,22 @@ double evaluate(VisionTransformer& model, const Dataset& data, int batch_size) {
         if (logits.at(r, c) > logits.at(r, best)) best = c;
       if (best == batch.labels[static_cast<std::size_t>(r)]) ++correct;
     }
+  }
+  return 100.0 * correct / std::max(n, 1);
+}
+
+double evaluate(runtime::InferenceEngine& engine, const Dataset& data, int batch_size,
+                const std::string& variant) {
+  const int n = data.size();
+  int correct = 0;
+  for (int start = 0; start < n; start += batch_size) {
+    const int end = std::min(n, start + batch_size);
+    std::vector<int> idx(static_cast<std::size_t>(end - start));
+    std::iota(idx.begin(), idx.end(), start);
+    const Batch batch = take_batch(data, idx);
+    const std::vector<int> labels = engine.predict_batch(batch.images, variant);
+    for (std::size_t r = 0; r < labels.size(); ++r)
+      if (labels[r] == batch.labels[r]) ++correct;
   }
   return 100.0 * correct / std::max(n, 1);
 }

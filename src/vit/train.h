@@ -14,9 +14,14 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 
 #include "vit/dataset.h"
 #include "vit/model.h"
+
+namespace ascend::runtime {
+class InferenceEngine;
+}
 
 namespace ascend::vit {
 
@@ -33,6 +38,11 @@ struct TrainOptions {
 
 /// Top-1 accuracy on a dataset (eval mode).
 double evaluate(VisionTransformer& model, const Dataset& data, int batch_size = 128);
+
+/// Top-1 accuracy of the engine's `variant` (empty = its default) — the
+/// serving twin of evaluate(model, ...), batched through predict_batch.
+double evaluate(runtime::InferenceEngine& engine, const Dataset& data, int batch_size = 128,
+                const std::string& variant = {});
 
 /// Train `student` on `data`; when `teacher` is non-null the KD losses are
 /// added. Returns final training loss.

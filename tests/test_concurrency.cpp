@@ -54,6 +54,16 @@ void expect_logits_equal(const nn::Tensor& got, const nn::Tensor& want) {
   for (std::size_t i = 0; i < want.size(); ++i) ASSERT_EQ(got[i], want[i]) << "logit " << i;
 }
 
+/// Registry serving an SC clone of `model` as its sole variant.
+std::shared_ptr<ModelRegistry> sc_registry(vit::VisionTransformer& model,
+                                           const vit::ScInferenceConfig& cfg, int threads) {
+  auto reg = std::make_shared<ModelRegistry>();
+  vit::ScServableOptions sopts;
+  sopts.threads = threads;
+  reg->publish(vit::make_sc_servable(model, cfg, sopts));
+  return reg;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -149,11 +159,10 @@ TEST(EngineConcurrency, ConcurrentSubmitStreamsMatchPredictBatch) {
   const vit::ScInferenceConfig cfg = tiny_sc_config();
 
   EngineOptions opts;
-  opts.threads = 2;
   opts.max_batch = 4;
   opts.max_delay = std::chrono::microseconds(2000);
   opts.concurrent_forwards = 3;
-  InferenceEngine engine(model, cfg, opts);
+  InferenceEngine engine(sc_registry(model, cfg, 2), opts);
 
   std::vector<int> idx(static_cast<std::size_t>(data.size()));
   std::iota(idx.begin(), idx.end(), 0);
@@ -196,9 +205,7 @@ TEST(EngineConcurrency, ConcurrentPredictBatchCallersAgree) {
   const vit::Dataset data = vit::make_synthetic_vision(16, top.classes, 55, top.image_size);
   const vit::ScInferenceConfig cfg = tiny_sc_config();
 
-  EngineOptions opts;
-  opts.threads = 2;
-  InferenceEngine engine(model, cfg, opts);
+  InferenceEngine engine(sc_registry(model, cfg, 2));
 
   std::vector<int> idx(static_cast<std::size_t>(data.size()));
   std::iota(idx.begin(), idx.end(), 0);
@@ -235,7 +242,6 @@ TEST(RegistryConcurrency, HotSwapMidTrafficIsBitExactWithQuiescedServing) {
   auto reg = std::make_shared<ModelRegistry>();
   reg->publish(vit::make_packed_ternary_servable(model, "m"));
   EngineOptions opts;
-  opts.threads = 2;
   opts.max_batch = 4;
   opts.max_delay = std::chrono::microseconds(1000);
   opts.concurrent_forwards = 2;
@@ -295,7 +301,6 @@ TEST(RegistryConcurrency, HotSwapToFreshMmapCheckpointMidTrafficIsBitExact) {
   auto reg = std::make_shared<ModelRegistry>();
   reg->register_from_file("m", path, VariantKind::kPackedTernary);
   EngineOptions opts;
-  opts.threads = 2;
   opts.max_batch = 4;
   opts.max_delay = std::chrono::microseconds(1000);
   opts.concurrent_forwards = 2;
@@ -346,7 +351,6 @@ TEST(RegistryConcurrency, ConcurrentMultiVariantSubmitsMatchPerVariantReferences
   sopts.threads = 2;
   reg->publish(vit::make_sc_servable(model, tiny_sc_config(), sopts, "sc-lut"));
   EngineOptions opts;
-  opts.threads = 2;
   opts.max_batch = 4;
   opts.max_delay = std::chrono::microseconds(1000);
   opts.concurrent_forwards = 2;
@@ -521,13 +525,12 @@ TEST(EngineBackpressure, RejectPolicySurfacesThroughSubmit) {
   const vit::ScInferenceConfig cfg = tiny_sc_config();
 
   EngineOptions opts;
-  opts.threads = 1;
   opts.max_batch = 2;
   opts.max_delay = std::chrono::microseconds(50'000);
   opts.concurrent_forwards = 1;
   opts.max_pending = 1;
   opts.overflow = OverflowPolicy::kReject;
-  InferenceEngine engine(model, cfg, opts);
+  InferenceEngine engine(sc_registry(model, cfg, 1), opts);
 
   const int pixels = top.channels * top.image_size * top.image_size;
   // Flood faster than one forward can drain; at least one submit must be

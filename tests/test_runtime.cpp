@@ -13,8 +13,10 @@
 
 #include "runtime/batcher.h"
 #include "runtime/engine.h"
+#include "runtime/registry.h"
 #include "runtime/tf_cache.h"
 #include "runtime/thread_pool.h"
+#include "vit/servable.h"
 #include "vit/train.h"
 
 using namespace ascend;
@@ -425,6 +427,18 @@ vit::ScInferenceConfig tiny_sc_config() {
   return cfg;
 }
 
+/// Registry serving an SC clone of `model` as its sole variant.
+std::shared_ptr<ModelRegistry> sc_registry(vit::VisionTransformer& model,
+                                           const vit::ScInferenceConfig& cfg, int threads,
+                                           bool use_tf_cache = true) {
+  auto reg = std::make_shared<ModelRegistry>();
+  vit::ScServableOptions sopts;
+  sopts.threads = threads;
+  sopts.use_tf_cache = use_tf_cache;
+  reg->publish(vit::make_sc_servable(model, cfg, sopts));
+  return reg;
+}
+
 }  // namespace
 
 TEST(InferenceEngine, EvaluateScMatchesManualCircuitHooks) {
@@ -461,7 +475,8 @@ TEST(InferenceEngine, EvaluateScMatchesManualCircuitHooks) {
   const double engine_acc = vit::evaluate_sc(model, data, cfg);
   EXPECT_EQ(engine_acc, ref_acc);
 
-  // The engine restored the hooks: a plain evaluate now uses exact blocks.
+  // evaluate_sc served a clone and never hooked the model: a plain evaluate
+  // uses the exact blocks.
   const double float_acc = vit::evaluate(model, data);
   const double float_acc2 = vit::evaluate(model, data);
   EXPECT_EQ(float_acc, float_acc2);
@@ -473,17 +488,13 @@ TEST(InferenceEngine, CachedAndUncachedPathsAgree) {
   const vit::Dataset data = vit::make_synthetic_vision(32, top.classes, 32, top.image_size);
   const vit::ScInferenceConfig cfg = tiny_sc_config();
 
-  EngineOptions cached;
-  cached.threads = 2;
   double acc_cached;
   {
-    InferenceEngine engine(model, cfg, cached);
-    acc_cached = engine.evaluate(data);
+    InferenceEngine engine(sc_registry(model, cfg, 2));
+    acc_cached = vit::evaluate(engine, data);
   }
-  EngineOptions uncached = cached;
-  uncached.use_tf_cache = false;
-  InferenceEngine engine(model, cfg, uncached);
-  EXPECT_EQ(engine.evaluate(data), acc_cached);
+  InferenceEngine engine(sc_registry(model, cfg, 2, /*use_tf_cache=*/false));
+  EXPECT_EQ(vit::evaluate(engine, data), acc_cached);
 }
 
 TEST(InferenceEngine, SubmitAgreesWithSynchronousBatchPath) {
@@ -493,10 +504,9 @@ TEST(InferenceEngine, SubmitAgreesWithSynchronousBatchPath) {
   const vit::ScInferenceConfig cfg = tiny_sc_config();
 
   EngineOptions opts;
-  opts.threads = 2;
   opts.max_batch = 8;
   opts.max_delay = std::chrono::microseconds(5000);
-  InferenceEngine engine(model, cfg, opts);
+  InferenceEngine engine(sc_registry(model, cfg, 2), opts);
 
   std::vector<int> idx(static_cast<std::size_t>(data.size()));
   std::iota(idx.begin(), idx.end(), 0);
@@ -530,10 +540,9 @@ TEST(InferenceEngine, MixedSizeBatchFailsOnlyTheOddRequest) {
   const vit::ScInferenceConfig cfg = tiny_sc_config();
 
   EngineOptions opts;
-  opts.threads = 1;
   opts.max_batch = 2;  // force the good and the bad request into one batch
   opts.max_delay = std::chrono::microseconds(500'000);
-  InferenceEngine engine(model, cfg, opts);
+  InferenceEngine engine(sc_registry(model, cfg, 1), opts);
 
   const int pixels = top.channels * top.image_size * top.image_size;
   auto good = engine.submit(std::vector<float>(static_cast<std::size_t>(pixels), 0.1f));

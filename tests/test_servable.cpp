@@ -18,6 +18,8 @@
 #include "runtime/engine.h"
 #include "runtime/registry.h"
 #include "runtime/servable.h"
+#include "sc/gate_si.h"
+#include "sc/softmax_iter.h"
 #include "vit/model.h"
 #include "vit/servable.h"
 #include "vit/train.h"
@@ -278,7 +280,6 @@ namespace {
 
 EngineOptions quick_engine_opts() {
   EngineOptions opts;
-  opts.threads = 1;
   opts.max_batch = 4;
   opts.max_delay = std::chrono::microseconds(500);
   opts.concurrent_forwards = 1;
@@ -492,19 +493,36 @@ TEST(VitServables, PackedTernaryAdapterMatchesSourceAndFp32Differs) {
   EXPECT_THROW(vit::make_packed_ternary_servable(fp_model), std::invalid_argument);
 }
 
-TEST(VitServables, ScAdapterMatchesInPlaceEngineAndLeavesSourceHookFree) {
+TEST(VitServables, ScAdapterMatchesCircuitHooksAndLeavesSourceHookFree) {
   const vit::VitConfig top = tiny_topology();
   const vit::Dataset data = vit::make_synthetic_vision(16, top.classes, 73, top.image_size);
   vit::VisionTransformer model(top, /*seed=*/64);
   const vit::ScInferenceConfig cfg = tiny_sc_config();
 
-  // Reference: the back-compat single-model engine (hooks on `model`).
-  EngineOptions opts = quick_engine_opts();
-  double ref_acc;
-  {
-    InferenceEngine ref_engine(model, cfg, opts);
-    ref_acc = ref_engine.evaluate(data);
-  }
+  // Reference: hooks built directly on the circuit emulators, installed on
+  // `model` and evaluated through vit::evaluate — no servable involved.
+  sc::SoftmaxIterConfig sm = cfg.softmax;
+  sm.m = top.tokens();
+  model.set_softmax_hook([sm](const nn::Tensor& scores) {
+    nn::Tensor out({scores.dim(0), scores.dim(1)});
+    std::vector<double> row(static_cast<std::size_t>(scores.dim(1)));
+    for (int r = 0; r < scores.dim(0); ++r) {
+      for (int c = 0; c < scores.dim(1); ++c) row[static_cast<std::size_t>(c)] = scores.at(r, c);
+      const auto y = sc::softmax_iterative_sc(row, sm);
+      for (int c = 0; c < scores.dim(1); ++c)
+        out.at(r, c) = static_cast<float>(y[static_cast<std::size_t>(c)]);
+    }
+    return out;
+  });
+  auto block = std::make_shared<sc::GateAssistedSI>(
+      sc::make_gelu_block(cfg.gelu_bsl, -cfg.gelu_range, cfg.gelu_range, 16));
+  model.set_gelu_hook([block](const nn::Tensor& x) {
+    nn::Tensor y(x.shape());
+    for (std::size_t i = 0; i < x.size(); ++i) y[i] = static_cast<float>(block->transfer(x[i]));
+    return y;
+  });
+  const double ref_acc = vit::evaluate(model, data);
+  model.clear_hooks();
 
   // Cloned SC adapters (cached and emulated) under the registry engine.
   auto reg = std::make_shared<ModelRegistry>();
@@ -517,12 +535,42 @@ TEST(VitServables, ScAdapterMatchesInPlaceEngineAndLeavesSourceHookFree) {
   EngineOptions ropts = quick_engine_opts();
   ropts.default_variant = "sc-lut";
   InferenceEngine engine(reg, ropts);
-  EXPECT_EQ(engine.evaluate(data, 128, "sc-lut"), ref_acc);
-  EXPECT_EQ(engine.evaluate(data, 128, "sc-emu"), ref_acc);
+  EXPECT_EQ(vit::evaluate(engine, data, 128, "sc-lut"), ref_acc);
+  EXPECT_EQ(vit::evaluate(engine, data, 128, "sc-emu"), ref_acc);
 
   // The clones never touched the source model's hooks: a plain evaluate is
   // repeatable and hook-free.
   EXPECT_EQ(vit::evaluate(model, data), vit::evaluate(model, data));
+}
+
+TEST(VitServables, InPlaceScServableHooksTheModelOnlyWhileAlive) {
+  const vit::VitConfig top = tiny_topology();
+  const vit::Dataset data = vit::make_synthetic_vision(8, top.classes, 75, top.image_size);
+  std::vector<int> idx(static_cast<std::size_t>(data.size()));
+  std::iota(idx.begin(), idx.end(), 0);
+  const vit::Batch all = vit::take_batch(data, idx);
+  vit::VisionTransformer model(top, /*seed=*/66);
+  const vit::VisionTransformer& cmodel = model;
+  const vit::ScInferenceConfig cfg = tiny_sc_config();
+  auto expect_bitwise = [](const nn::Tensor& got, const nn::Tensor& want, const char* what) {
+    ASSERT_EQ(got.shape(), want.shape()) << what;
+    for (std::size_t i = 0; i < want.size(); ++i) ASSERT_EQ(got[i], want[i]) << what << " " << i;
+  };
+
+  const nn::Tensor hook_free = cmodel.infer(all.images);
+  vit::ScServableOptions sopts;
+  sopts.threads = 1;
+  const nn::Tensor cloned = vit::make_sc_servable(model, cfg, sopts)->infer(all.images);
+  bool sc_differs = false;
+  for (std::size_t i = 0; i < cloned.size(); ++i) sc_differs |= cloned[i] != hook_free[i];
+  ASSERT_TRUE(sc_differs) << "the SC blocks must change the logits for this test to show anything";
+  {
+    const auto in_place = vit::make_sc_servable_in_place(model, cfg, sopts);
+    const nn::Tensor via_model = cmodel.infer(all.images);
+    expect_bitwise(via_model, in_place->infer(all.images), "model vs in-place servable");
+    expect_bitwise(via_model, cloned, "model vs make_sc_servable");
+  }
+  expect_bitwise(cmodel.infer(all.images), hook_free, "hooks restored on destruction");
 }
 
 TEST(VitServables, HotSwapRefreezesWithoutChangingResults) {
